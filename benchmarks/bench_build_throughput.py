@@ -83,12 +83,8 @@ def make_episode_series(days: int, episodes: int = N_EPISODES) -> TimeSeries:
 def _rows(index) -> Dict[str, np.ndarray]:
     out = {}
     for kind in ("drop", "jump"):
-        out[f"{kind}_points"] = np.asarray(
-            index.store.scan_points(kind), dtype=float
-        )
-        out[f"{kind}_lines"] = np.asarray(
-            index.store.scan_lines(kind), dtype=float
-        )
+        out[f"{kind}_points"] = index.store.scan_points_array(kind)
+        out[f"{kind}_lines"] = index.store.scan_lines_array(kind)
     return out
 
 

@@ -13,15 +13,20 @@ Run with::
 
 from repro import DropQuery, SegDiffIndex
 from repro.datagen import CADConfig, CADTransectGenerator, robust_loess
+from repro.engine import QuerySession
 from repro.storage.minidb import MiniDbFeatureStore
 
 HOUR = 3600.0
 
 
-def show(title: str, stats, hits: int) -> None:
+def show(title: str, session: QuerySession, q, mode: str, cache: str) -> None:
+    """Run one search and print the pager traffic it caused."""
+    before = session.store.pager_stats().snapshot()
+    hits = session.search(q, mode=mode, cache=cache)
+    stats = session.store.pager_stats().delta(before)
     print(
         f"  {title:<34} {stats.page_reads:>7} page reads "
-        f"({stats.misses:>6} cold, {stats.hits:>6} cached)   {hits} hits"
+        f"({stats.misses:>6} cold, {stats.hits:>6} cached)   {len(hits)} hits"
     )
 
 
@@ -48,31 +53,25 @@ def main() -> None:
         f"{drop_tree.n_pages()} pages, fanout {drop_tree.leaf_fanout}"
     )
 
+    session = QuerySession(store)
     print("\nAct 1 — a selective query (the B-tree's home turf):")
     q = DropQuery(0.5 * HOUR, -8.0)
-    hits = store.search(q, mode="scan", cache="cold")
-    show("sequential scan, cold", store.last_query_stats, len(hits))
-    hits = store.search(q, mode="index", cache="cold")
-    show("B+tree, cold", store.last_query_stats, len(hits))
+    show("sequential scan, cold", session, q, "scan", "cold")
+    show("B+tree, cold", session, q, "index", "cold")
 
     print("\nAct 2 — the canonical CAD query:")
     q = DropQuery(1 * HOUR, -3.0)
-    hits = store.search(q, mode="scan", cache="cold")
-    show("sequential scan, cold", store.last_query_stats, len(hits))
-    hits = store.search(q, mode="index", cache="cold")
-    show("B+tree, cold", store.last_query_stats, len(hits))
+    show("sequential scan, cold", session, q, "scan", "cold")
+    show("B+tree, cold", session, q, "index", "cold")
 
     print("\nAct 3 — a hard query (index pays a heap fetch per match):")
     q = DropQuery(8 * HOUR, -0.5)
-    hits = store.search(q, mode="scan", cache="cold")
-    show("sequential scan, cold", store.last_query_stats, len(hits))
-    hits = store.search(q, mode="index", cache="cold")
-    show("B+tree, cold", store.last_query_stats, len(hits))
+    show("sequential scan, cold", session, q, "scan", "cold")
+    show("B+tree, cold", session, q, "index", "cold")
 
     print("\nAct 4 — what a warm cache hides (same hard query):")
-    store.search(q, mode="scan", cache="warm")  # prime the pool
-    hits = store.search(q, mode="scan", cache="warm")
-    show("sequential scan, warm", store.last_query_stats, len(hits))
+    session.search(q, mode="scan", cache="warm")  # prime the pool
+    show("sequential scan, warm", session, q, "scan", "warm")
 
     print("\nEpilogue — the planner reads the same tea leaves:")
     for kind_t, kind_v in ((0.5 * HOUR, -8.0), (8 * HOUR, -0.5)):

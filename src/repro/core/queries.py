@@ -7,9 +7,9 @@ A drop (jump) search is the union of
 * a **line query** over stored boundary edges — do both ends lie outside
   the region while the edge crosses it?
 
-Both are expressed here twice: as plain-Python/numpy predicates (used by
-the in-memory store and as the oracle in tests) and as SQL text (used by
-the SQLite store).  The line-crossing test uses the geometrically correct
+Both are expressed here twice: as numpy predicates (the engine
+executor's exact filter over every backend's candidates) and as SQL text
+(used by the SQLite store).  The line-crossing test uses the geometrically correct
 ``Δv' + slope·(T − Δt')`` form (see DESIGN.md §5.2).
 """
 
@@ -27,8 +27,6 @@ __all__ = [
     "JumpQuery",
     "point_mask",
     "line_mask",
-    "point_match",
-    "line_match",
     "point_query_sql",
     "line_query_sql",
     "point_candidate_sql",
@@ -125,47 +123,6 @@ def line_mask(
         else:
             crosses = value_at_t >= v_thr
     return ends_out & crosses
-
-
-# ---------------------------------------------------------------------- #
-# scalar predicates (row-at-a-time backends: MiniDB key filtering)
-# ---------------------------------------------------------------------- #
-
-
-def point_match(
-    kind: str, dt: float, dv: float, t_thr: float, v_thr: float
-) -> bool:
-    """Scalar form of :func:`point_mask` for one stored corner."""
-    if dt > t_thr:
-        return False
-    if kind == "drop":
-        return dv <= v_thr
-    if kind == "jump":
-        return dv >= v_thr
-    raise InvalidParameterError(f"unknown query kind {kind!r}")
-
-
-def line_match(
-    kind: str,
-    dt1: float,
-    dv1: float,
-    dt2: float,
-    dv2: float,
-    t_thr: float,
-    v_thr: float,
-) -> bool:
-    """Scalar form of :func:`line_mask` for one stored boundary edge."""
-    if kind == "drop":
-        if not (dt1 <= t_thr and dv1 > v_thr and dt2 > t_thr and dv2 < v_thr):
-            return False
-        value = dv1 + (dv2 - dv1) / (dt2 - dt1) * (t_thr - dt1)
-        return value <= v_thr
-    if kind == "jump":
-        if not (dt1 <= t_thr and dv1 < v_thr and dt2 > t_thr and dv2 > v_thr):
-            return False
-        value = dv1 + (dv2 - dv1) / (dt2 - dt1) * (t_thr - dt1)
-        return value >= v_thr
-    raise InvalidParameterError(f"unknown query kind {kind!r}")
 
 
 # ---------------------------------------------------------------------- #

@@ -44,6 +44,14 @@ from .resilience import (
 __all__ = ["QuerySession", "OperatorExplain", "ExplainReport"]
 
 _MODES = ("auto", "index", "scan", "grid")
+_CACHES = ("warm", "cold")
+
+
+def _check_cache(cache: str) -> None:
+    if cache not in _CACHES:
+        raise InvalidParameterError(
+            f"cache must be one of {_CACHES}, got {cache!r}"
+        )
 
 _QUERIES = {
     api: REGISTRY.counter(
@@ -145,14 +153,8 @@ class QuerySession:
         slow_query_threshold: Optional[float] = None,
         resilience: Optional[ResiliencePolicy] = None,
         name: Optional[str] = None,
-        vectorize: Optional[bool] = None,
     ) -> None:
         self.store = store
-        #: Storage-primitive selection for every query this session runs:
-        #: ``None`` (auto) prefers the columnar ``*_array`` primitives,
-        #: ``False`` forces the scalar ones (the benchmark/differential
-        #: baseline).  Both paths return identical results.
-        self.vectorize = vectorize
         self.cost = cost_model if cost_model is not None else CostModel(store)
         #: Seconds above which a query lands in the slow-query log; when
         #: None, the process-wide default (``repro.obs.slowlog``) applies.
@@ -280,8 +282,7 @@ class QuerySession:
             else None
         )
         result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown, guard=guard,
-                         vectorize=self.vectorize)
+                         pushdown=pushdown, guard=guard)
         if before is not None:
             delta = fn().snapshot().delta(before)
             obs_context.account(pages_read=delta.page_reads)
@@ -305,7 +306,7 @@ class QuerySession:
     def _run_with_io(self, plan, cache, data, pushdown):
         before = self._io_stats()
         result = execute(plan, self.store, cache=cache, data=data,
-                         pushdown=pushdown, vectorize=self.vectorize)
+                         pushdown=pushdown)
         after = self._io_stats()
         return result, before, after
 
@@ -437,6 +438,7 @@ class QuerySession:
         :class:`~repro.errors.QueryRejected` when admission control
         sheds the query.
         """
+        _check_cache(cache)
         guard = self._make_guard(timeout_ms, degrade)
         refine = (
             RefineOp(verified_only=verified_only) if data is not None else None
@@ -544,6 +546,7 @@ class QuerySession:
             raise InvalidParameterError(
                 "batched execution supports 'auto', 'index' and 'scan'"
             )
+        _check_cache(cache)
         guard = self._make_guard(timeout_ms, None)
         ctx, binder, owns = self._begin_query("search_batch")
         t0 = time.perf_counter()
@@ -559,13 +562,12 @@ class QuerySession:
                             ]
                         if self._lock is None:
                             results = execute_batch(plans, self.store,
-                                                    cache=cache, guard=guard,
-                                                    vectorize=self.vectorize)
+                                                    cache=cache, guard=guard)
                         else:
                             with self._lock:
                                 results = execute_batch(
                                     plans, self.store, cache=cache,
-                                    guard=guard, vectorize=self.vectorize,
+                                    guard=guard,
                                 )
                         root.set_attribute("queries", len(plans))
                 except QueryTimeout:
@@ -626,6 +628,7 @@ class QuerySession:
         Pushdown is disabled for the run so ``rows_fetched`` reports the
         true candidate-set size of each access path.
         """
+        _check_cache(cache)
         ctx, binder, owns = self._begin_query("explain")
         t0 = time.perf_counter()
         with binder, self._admit(None), span("query.explain") as root:

@@ -23,6 +23,7 @@ from typing import Dict, List, Tuple
 from ..core.index import SegDiffIndex
 from ..core.queries import DropQuery
 from ..datagen import TimeSeries
+from ..engine import QuerySession
 from ..storage.minidb import MiniDatabase, MiniDbFeatureStore
 from . import datasets
 from .report import render_table
@@ -114,6 +115,7 @@ def run(
     segdiff.ingest(series)
     segdiff.finalize()
     exh = _ExhPages(series, window, cache_pages=cache_pages)
+    session = QuerySession(store)
 
     rows: List[PageCostRow] = []
     try:
@@ -122,8 +124,11 @@ def run(
             costs: Dict[str, int] = {}
             hits = 0
             for mode in ("scan", "index"):
-                result = store.search(query, mode=mode, cache="cold")
-                costs[f"segdiff_{mode}"] = store.last_query_stats.page_reads
+                before = store.pager_stats().snapshot()
+                result = session.search(query, mode=mode, cache="cold")
+                costs[f"segdiff_{mode}"] = (
+                    store.pager_stats().delta(before).page_reads
+                )
                 hits = len(result)
             exh_scan, n_exh = exh.search_pages(query, "scan")
             exh_index, _ = exh.search_pages(query, "index")

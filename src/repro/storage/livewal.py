@@ -194,6 +194,10 @@ class LiveWAL:
                 need = _GAP_PAYLOAD.size
             else:
                 break  # garbage
+            if need > file_size - pos - _RECORD.size:
+                # a claimed payload longer than the rest of the file is a
+                # torn tail; never allocate a length read off the disk
+                break
             payload = fh.read(need)
             if len(payload) < need or zlib.crc32(payload) != crc:
                 break  # torn frame

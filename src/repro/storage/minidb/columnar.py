@@ -1,9 +1,8 @@
 """Columnar read views over MiniDB heap chains and B+tree leaves.
 
-The scalar read path decodes one row per :class:`struct.Struct` call —
-per-row Python that dominates query time (EXPERIMENTS.md, PR 8 profile).
-This module replaces it with array-at-once decodes of the **unchanged**
-page byte layouts:
+Decoding one row per :class:`struct.Struct` call is per-row Python that
+dominates query time (EXPERIMENTS.md profile), so the store's read path
+decodes the **unchanged** page byte layouts array-at-once instead:
 
 * :class:`ColumnarView` — a per-database cache of whole heap chains as
   ``(n_rows, width)`` float64 blocks.  A block is built once per open
@@ -185,10 +184,9 @@ def probe_index_block(
 
     Returns an ``(m, key_width + 4)`` float64 block — index key columns
     followed by the rows' identifying timestamps, in leaf-chain (key)
-    order: the same layout the scalar probe assembles per row.
-    ``v_mask`` (keys block -> bool mask) applies the value pushdown
-    before any heap fetch, mirroring the scalar path where only
-    *matching* entries pay the random heap read.
+    order.  ``v_mask`` (keys block -> bool mask) applies the value
+    pushdown before any heap fetch, so only *matching* entries pay the
+    random heap read.
     """
     tree = table.index(index_name)
     key_width = tree.key_width
@@ -215,7 +213,7 @@ def _leaf_entries_upto(
     sorted, so the leading column is non-decreasing across the chain and
     the walk stops at the first leaf that crosses the bound).  Leaf pages
     are read through the buffer pool, so index-page accounting is
-    unchanged from the scalar walk.
+    the same as a row-at-a-time walk's.
     """
     key_width = tree.key_width
     entry_dtype = np.dtype(
@@ -270,8 +268,8 @@ def _gather_ident(
     Rows are gathered per distinct heap page: one pool read decodes the
     whole page, and the page's other requested slots are charged as pool
     hits via :meth:`Pager.note_cached_reads` — the logical per-row page
-    cost of the scalar path (Figures 19-20) with one physical decode per
-    page instead of one per row.
+    cost of a row-at-a-time reader (Figures 19-20) with one physical
+    decode per page instead of one per row.
     """
     n = rid_pages.shape[0]
     out = np.empty((n, 4))

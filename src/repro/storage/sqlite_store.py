@@ -30,8 +30,7 @@ from ..engine.resilience import RetryPolicy
 from ..errors import InvalidParameterError, StorageError
 from ..obs import context as obs_context
 from ..obs.metrics import REGISTRY, ROWS_BUCKETS
-from ..types import SegmentPair
-from .base import FeatureStore, Query, StoreCounts
+from .base import FeatureStore, StoreCounts
 from .schema import (
     CREATE_INDEX_SQL,
     CREATE_TABLE_SQL,
@@ -380,74 +379,8 @@ class SqliteFeatureStore(FeatureStore):
         self._indexed = False
 
     # ------------------------------------------------------------------ #
-    # reads
+    # reads: the engine's columnar primitives
     # ------------------------------------------------------------------ #
-
-    def search(
-        self, query: Query, mode: str = "index", cache: str = "warm"
-    ) -> List[SegmentPair]:
-        """Compatibility shim — union/dedup lives in the engine executor;
-        this store contributes SQL-backed physical primitives only."""
-        self._check_open()
-        if mode not in ("index", "scan"):
-            raise InvalidParameterError(
-                f"mode must be 'index' or 'scan', got {mode!r}"
-            )
-        if cache not in ("warm", "cold"):
-            raise InvalidParameterError(
-                f"cache must be 'warm' or 'cold', got {cache!r}"
-            )
-        return self._engine_search(query, mode, cache=cache)
-
-    # -- physical primitives (engine interface) ------------------------ #
-
-    def _candidate_rows(self, sql: str, params: dict, cache: str,
-                        guard=None):
-        """Run one candidate query in the requested cache regime.
-
-        With a ``guard``, rows are pulled in ``fetchmany`` chunks of
-        ``guard.check_every`` with a deadline tick between chunks — a
-        query never runs more than one chunk past its deadline even on a
-        huge result set.  Without one, a single ``fetchall`` keeps the
-        fast path unchanged.
-        """
-        import numpy as np
-
-        if guard is None:
-            def fetch(conn):
-                return conn.execute(sql, params).fetchall()
-        else:
-            def fetch(conn):
-                cursor = conn.execute(sql, params)
-                rows: list = []
-                while True:
-                    guard.tick()
-                    chunk = cursor.fetchmany(guard.check_every)
-                    if not chunk:
-                        return rows
-                    rows.extend(chunk)
-
-        if cache == "cold":
-            # a fresh connection with a minimal page cache emulates the
-            # paper's flushed-cache runs (DESIGN.md §5.7)
-            if threading.get_ident() == self._owner_thread:
-                self._with_retry(self._conn.commit)
-            conn = self._connect()
-            try:
-                conn.execute("PRAGMA cache_size = -64")  # 64 KiB only
-                rows = self._with_retry(lambda: fetch(conn))
-            finally:
-                conn.close()
-        else:
-            rows = self._with_retry(lambda: fetch(self._reader()))
-        if not rows:
-            return np.empty((0, 0))
-        result = np.asarray(rows, dtype=float)
-        obs_context.account(
-            rows_scanned=int(result.shape[0]),
-            bytes_decoded=int(result.nbytes),
-        )
-        return result
 
     def _point_hint(self, kind: str, access: str) -> str:
         if access == "scan":
@@ -463,78 +396,20 @@ class SqliteFeatureStore(FeatureStore):
             raise StorageError("indexes not built; call finalize() first")
         return f"INDEXED BY {INDEX_NAMES[LINE_TABLES[kind]]}"
 
-    def scan_points(self, kind, t_threshold=None, v_threshold=None,
-                    cache="warm", guard=None):
-        self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "scan"),
-            with_t=t_threshold is not None,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def probe_point_index(self, kind, t_threshold, v_threshold=None,
-                          cache="warm", guard=None):
-        self._check_open()
-        sql = point_candidate_sql(
-            kind,
-            POINT_TABLES[kind],
-            self._point_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def scan_lines(self, kind, t_threshold=None, v_threshold=None,
-                   cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "scan"),
-            with_t=t_threshold is not None,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    def probe_line_index(self, kind, t_threshold, v_threshold=None,
-                         cache="warm", guard=None):
-        self._check_open()
-        sql = line_candidate_sql(
-            kind,
-            LINE_TABLES[kind],
-            self._line_hint(kind, "index"),
-            with_t=True,
-            with_v=v_threshold is not None,
-        )
-        return self._candidate_rows(
-            sql, {"T": t_threshold, "V": v_threshold}, cache, guard
-        )
-
-    # -- batch columnar primitives (vectorized engine interface) -------- #
-
-    #: fetchmany granularity of the unguarded array read path
+    #: fetchmany granularity of the unguarded read path
     _ARRAY_CHUNK = 4096
 
     def _candidate_rows_array(self, sql: str, params: dict, cache: str,
                               guard, width: int):
-        """Chunked ``fetchmany`` into ``(m, width)`` float64 blocks.
+        """Run one candidate query in the requested cache regime, as
+        chunked ``fetchmany`` into ``(m, width)`` float64 blocks.
 
-        The vectorized twin of :meth:`_candidate_rows`: rows are pulled
-        in fixed-size chunks and converted chunk-at-a-time into column
-        blocks that concatenate once at the end, so no full-result
-        Python row list is ever materialized.  With a ``guard`` the
-        chunk size is ``guard.check_every`` with a deadline tick per
-        chunk — the same one-chunk-past-deadline bound as the scalar
-        path.
+        Rows are pulled in fixed-size chunks and converted
+        chunk-at-a-time into column blocks that concatenate once at the
+        end, so no full-result Python row list is ever materialized.
+        With a ``guard`` the chunk size is ``guard.check_every`` with a
+        deadline tick per chunk, so a query never runs more than one
+        chunk past its deadline even on a huge result set.
         """
         import numpy as np
 
@@ -559,6 +434,8 @@ class SqliteFeatureStore(FeatureStore):
             return np.concatenate(blocks, axis=0)
 
         if cache == "cold":
+            # a fresh connection with a minimal page cache emulates the
+            # paper's flushed-cache runs (DESIGN.md §5.7)
             if threading.get_ident() == self._owner_thread:
                 self._with_retry(self._conn.commit)
             conn = self._connect()

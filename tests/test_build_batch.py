@@ -38,12 +38,8 @@ def all_rows(index):
     """Every stored feature row, as comparable float arrays."""
     out = {}
     for kind in TABLES:
-        out[f"{kind}_points"] = np.asarray(
-            index.store.scan_points(kind), dtype=float
-        )
-        out[f"{kind}_lines"] = np.asarray(
-            index.store.scan_lines(kind), dtype=float
-        )
+        out[f"{kind}_points"] = index.store.scan_points_array(kind)
+        out[f"{kind}_lines"] = index.store.scan_lines_array(kind)
     return out
 
 

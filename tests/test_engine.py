@@ -293,12 +293,14 @@ def test_cross_backend_differential(seed, v_thr, t_minutes):
         t_thr = t_minutes * 60.0
         drop = DropQuery(t_thr, v_thr)
         jump = JumpQuery(t_thr, -v_thr)
-        reference_drop = built[0].store.search(drop, mode="scan")
-        reference_jump = built[0].store.search(jump, mode="scan")
+        reference = QuerySession(built[0].store)
+        reference_drop = reference.search(drop, mode="scan")
+        reference_jump = reference.search(jump, mode="scan")
         for index in built:
+            session = QuerySession(index.store)
             for mode in ("scan", "index"):
-                assert index.store.search(drop, mode=mode) == reference_drop
-                assert index.store.search(jump, mode=mode) == reference_jump
+                assert session.search(drop, mode=mode) == reference_drop
+                assert session.search(jump, mode=mode) == reference_jump
     finally:
         for index in built:
             index.close()

@@ -75,8 +75,9 @@ class TestPairing:
         counts = store.counts()
         assert counts.total > 0
         from repro.core.queries import JumpQuery
+        from repro.engine import QuerySession
 
-        hits = store.search(JumpQuery(5.0, 0.5), mode="scan")
+        hits = QuerySession(store).search(JumpQuery(5.0, 0.5), mode="scan")
         assert all(h.t_d >= 15.0 for h in hits)
 
     def test_self_pairs_emitted(self):

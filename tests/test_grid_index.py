@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.queries import DropQuery, JumpQuery, point_mask
+from repro.engine import QuerySession
 from repro.errors import InvalidParameterError
 from repro.storage import MemoryFeatureStore
 from repro.storage.grid_index import GridIndex
@@ -91,15 +92,17 @@ class TestMemoryStoreGridMode:
         from repro.core.index import SegDiffIndex
 
         idx = SegDiffIndex.build(walk_series, 0.2, 8 * 3600.0)
-        store = idx.store
-        assert isinstance(store, MemoryFeatureStore)
+        assert isinstance(idx.store, MemoryFeatureStore)
+        session = QuerySession(idx.store)
         queries = [
             DropQuery(3600.0, -2.0),
             DropQuery(7200.0, -0.5),
             JumpQuery(3600.0, 2.0),
         ]
         for q in queries:
-            assert store.search(q, mode="grid") == store.search(q, mode="scan")
+            assert session.search(q, mode="grid") == session.search(
+                q, mode="scan"
+            )
         idx.close()
 
     def test_invalid_mode_still_rejected(self, walk_series):
@@ -107,7 +110,8 @@ class TestMemoryStoreGridMode:
 
         idx = SegDiffIndex.build(walk_series, 0.2, 8 * 3600.0)
         with pytest.raises(InvalidParameterError):
-            idx.store.search(DropQuery(3600.0, -2.0), mode="rtree")
+            QuerySession(idx.store).search(DropQuery(3600.0, -2.0),
+                                           mode="rtree")
         idx.close()
 
     def test_grid_rebuilt_after_append(self):
@@ -122,12 +126,12 @@ class TestMemoryStoreGridMode:
         store.add(fs1)
         store.finalize()
         q = DropQuery(200.0, -1.0)
-        first = store.search(q, mode="grid")
+        first = QuerySession(store).search(q, mode="grid")
         fs2 = collect_features(
             Parallelogram.self_pair(DataSegment(100, 2, 200, -10)), 0.1
         )
         store.add(fs2)
         store.finalize()
-        second = store.search(q, mode="grid")
+        second = QuerySession(store).search(q, mode="grid")
         assert len(second) > len(first)
         store.close()

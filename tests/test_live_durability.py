@@ -12,6 +12,9 @@ hand-picked.
 
 import os
 import sqlite3
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
+import repro
 from repro.core.index import SegDiffIndex
 from repro.core.live import LiveIndex
 from repro.errors import InvalidParameterError, StorageError
@@ -157,6 +161,51 @@ class TestLiveWAL:
         assert_equivalent(ref, reopened)
         ref.close()
         reopened.close()
+
+    def test_oversized_torn_frame_is_swept_under_memory_cap(self, tmp_path):
+        # the torn-tail garbage above claims a ~64 GiB payload; recovery
+        # must treat it as torn before reading, so the sweep succeeds
+        # even where the address space cannot hold the claimed length
+        wal_path = str(tmp_path / WAL_NAME)
+        wal = LiveWAL(wal_path)
+        wal.append(np.arange(5.0), np.ones(5))
+        wal.close()
+        with open(wal_path, "ab") as fh:
+            fh.write(b"\x01\xff\xff\xff\xff torn tail garbage")
+        child = textwrap.dedent(
+            """
+            import resource, sys
+            from repro.storage.livewal import LiveWAL
+
+            cap = 512 << 20
+            try:
+                with open("/proc/self/status") as fh:
+                    for line in fh:
+                        if line.startswith("VmSize:"):
+                            cap += int(line.split()[1]) << 10
+            except OSError:
+                pass
+            _soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+            scan = LiveWAL.scan(sys.argv[1])
+            assert scan["observations"] == 5, scan
+            assert scan["torn_bytes"] > 0, scan
+            wal = LiveWAL(sys.argv[1])
+            assert wal.n_observations == 5, wal.n_observations
+            wal.close()
+            """
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(repro.__file__))]
+            + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", child, wal_path],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert os.path.getsize(wal_path) < 1024  # recovery truncated it
 
     def test_gap_frames_replay(self, tmp_path):
         ts, vs = make_walk(11, n=400)

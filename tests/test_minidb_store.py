@@ -8,10 +8,22 @@ from hypothesis import given, settings, strategies as st
 from repro.core.index import SegDiffIndex
 from repro.core.queries import DropQuery, JumpQuery
 from repro.datagen import TimeSeries, random_walk_series
+from repro.engine import QuerySession
 from repro.errors import InvalidParameterError, StorageError
 from repro.storage.minidb import MiniDbFeatureStore
 
 HOUR = 3600.0
+
+
+def search(store, query, mode="index", cache="warm"):
+    return QuerySession(store).search(query, mode=mode, cache=cache)
+
+
+def search_io(store, query, mode, cache):
+    """One search and the pager-counter delta it caused."""
+    before = store.pager_stats().snapshot()
+    search(store, query, mode=mode, cache=cache)
+    return store.pager_stats().delta(before)
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +56,8 @@ class TestEquivalence:
     @pytest.mark.parametrize("cache", ["warm", "cold"])
     def test_matches_memory_backend(self, pair_of_indexes, query, mode, cache):
         mini, mem, _series = pair_of_indexes
-        expected = mem.store.search(query, mode="scan")
-        got = mini.store.search(query, mode=mode, cache=cache)
+        expected = search(mem.store, query, mode="scan")
+        got = search(mini.store, query, mode=mode, cache=cache)
         assert got == expected
 
     def test_counts_match(self, pair_of_indexes):
@@ -77,18 +89,15 @@ class TestEquivalence:
 class TestPageCosts:
     def test_query_stats_populated(self, pair_of_indexes):
         mini, _mem, _ = pair_of_indexes
-        mini.store.search(DropQuery(HOUR, -2.0), mode="scan", cache="cold")
-        stats = mini.store.last_query_stats
-        assert stats is not None
+        stats = search_io(mini.store, DropQuery(HOUR, -2.0), "scan", "cold")
         assert stats.page_reads > 0
         assert stats.misses > 0  # cold cache: everything missed
 
     def test_warm_cache_hits(self, pair_of_indexes):
         mini, _mem, _ = pair_of_indexes
         q = DropQuery(HOUR, -2.0)
-        mini.store.search(q, mode="scan", cache="warm")  # prime
-        mini.store.search(q, mode="scan", cache="warm")
-        stats = mini.store.last_query_stats
+        search(mini.store, q, mode="scan", cache="warm")  # prime
+        stats = search_io(mini.store, q, "scan", "warm")
         assert stats.hits > 0
         assert stats.disk_reads == 0  # fully cached
 
@@ -97,10 +106,8 @@ class TestPageCosts:
         B+tree than via a full scan — the B-tree's raison d'etre."""
         mini, _mem, _ = pair_of_indexes
         q = DropQuery(0.25 * HOUR, -6.0)  # few or no results
-        mini.store.search(q, mode="scan", cache="cold")
-        scan_reads = mini.store.last_query_stats.page_reads
-        mini.store.search(q, mode="index", cache="cold")
-        index_reads = mini.store.last_query_stats.page_reads
+        scan_reads = search_io(mini.store, q, "scan", "cold").page_reads
+        index_reads = search_io(mini.store, q, "index", "cold").page_reads
         assert index_reads < scan_reads / 2
 
     def test_index_hard_query_pays_random_io(self, pair_of_indexes):
@@ -108,10 +115,8 @@ class TestPageCosts:
         and loses to the scan — Figures 19-20 from first principles."""
         mini, _mem, _ = pair_of_indexes
         q = DropQuery(8 * HOUR, -0.01)
-        mini.store.search(q, mode="scan", cache="cold")
-        scan_reads = mini.store.last_query_stats.page_reads
-        mini.store.search(q, mode="index", cache="cold")
-        index_reads = mini.store.last_query_stats.page_reads
+        scan_reads = search_io(mini.store, q, "scan", "cold").page_reads
+        index_reads = search_io(mini.store, q, "index", "cold").page_reads
         assert index_reads > scan_reads
 
 
@@ -129,7 +134,7 @@ class TestLifecycle:
         store = MiniDbFeatureStore(path)
         try:
             assert store.get_meta("epsilon") == 0.2
-            got = store.search(DropQuery(HOUR, -2.0))
+            got = search(store, DropQuery(HOUR, -2.0))
             assert got == expected
             assert store.load_segments()
         finally:
@@ -154,19 +159,19 @@ class TestLifecycle:
             )
             store.add(fs)
             with pytest.raises(StorageError, match="stale|missing"):
-                store.search(DropQuery(5.0, -1.0), mode="index")
-            assert store.search(DropQuery(5.0, -1.0), mode="scan")
+                search(store, DropQuery(5.0, -1.0), mode="index")
+            assert search(store, DropQuery(5.0, -1.0), mode="scan")
             store.finalize()
-            assert store.search(DropQuery(5.0, -1.0), mode="index")
+            assert search(store, DropQuery(5.0, -1.0), mode="index")
         finally:
             store.close()
 
     def test_invalid_modes_rejected(self, pair_of_indexes):
         mini, _mem, _ = pair_of_indexes
         with pytest.raises(InvalidParameterError):
-            mini.store.search(QUERIES[0], mode="grid")
+            search(mini.store, QUERIES[0], mode="grid")
         with pytest.raises(InvalidParameterError):
-            mini.store.search(QUERIES[0], cache="tepid")
+            search(mini.store, QUERIES[0], cache="tepid")
 
     def test_closed_store_unusable(self):
         store = MiniDbFeatureStore()

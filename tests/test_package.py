@@ -28,7 +28,6 @@ class TestPublicApi:
             "repro.core.results",
             "repro.core.reporting",
             "repro.core.guarantees",
-            "repro.core.planner",
             "repro.core.tiered",
             "repro.core.transect",
             "repro.datagen",

@@ -7,6 +7,7 @@ import pytest
 from repro.core.corners import collect_features
 from repro.core.parallelogram import Parallelogram
 from repro.core.queries import DropQuery, JumpQuery
+from repro.engine import QuerySession
 from repro.errors import InvalidParameterError, StorageError
 from repro.storage import MemoryFeatureStore, SqliteFeatureStore
 from repro.types import DataSegment
@@ -40,6 +41,10 @@ QUERIES = [
 ]
 
 
+def search(store, query, mode="index", cache="warm"):
+    return QuerySession(store).search(query, mode=mode, cache=cache)
+
+
 def load(store):
     for fs in feature_sets():
         store.add(fs)
@@ -57,18 +62,18 @@ class TestMemoryStore:
     def test_scan_equals_index_mode(self):
         store = load(MemoryFeatureStore())
         for q in QUERIES:
-            assert store.search(q, mode="scan") == store.search(q, mode="index")
+            assert search(store, q, mode="scan") == search(store, q, mode="index")
 
     def test_search_before_finalize_fails(self):
         store = MemoryFeatureStore()
         store.add(feature_sets()[0])
         with pytest.raises(StorageError):
-            store.search(QUERIES[0])
+            search(store, QUERIES[0])
 
     def test_invalid_mode_rejected(self):
         store = load(MemoryFeatureStore())
         with pytest.raises(InvalidParameterError):
-            store.search(QUERIES[0], mode="hash")
+            search(store, QUERIES[0], mode="hash")
 
     def test_append_after_finalize_then_refinalize(self):
         store = MemoryFeatureStore()
@@ -116,38 +121,38 @@ class TestSqliteStore:
     def test_reopen_existing_database(self, tmp_path):
         path = str(tmp_path / "features.sqlite")
         store = load(SqliteFeatureStore(path))
-        results = {repr(q): store.search(q) for q in QUERIES}
+        results = {repr(q): search(store, q) for q in QUERIES}
         store.close()
         reopened = SqliteFeatureStore(path)
         for q in QUERIES:
-            assert reopened.search(q) == results[repr(q)]
+            assert search(reopened, q) == results[repr(q)]
         reopened.close()
 
     def test_scan_equals_index(self):
         with load(SqliteFeatureStore()) as store:
             for q in QUERIES:
-                assert store.search(q, mode="scan") == store.search(q, mode="index")
+                assert search(store, q, mode="scan") == search(store, q, mode="index")
 
     def test_cold_equals_warm(self):
         with load(SqliteFeatureStore()) as store:
             for q in QUERIES:
-                assert store.search(q, cache="cold") == store.search(q, cache="warm")
+                assert search(store, q, cache="cold") == search(store, q, cache="warm")
 
     def test_index_mode_requires_finalize(self):
         store = SqliteFeatureStore()
         store.add(feature_sets()[0])
         with pytest.raises(StorageError):
-            store.search(QUERIES[0], mode="index")
+            search(store, QUERIES[0], mode="index")
         # but scan works on unindexed data
-        assert isinstance(store.search(QUERIES[0], mode="scan"), list)
+        assert isinstance(search(store, QUERIES[0], mode="scan"), list)
         store.close()
 
     def test_invalid_mode_and_cache_rejected(self):
         with load(SqliteFeatureStore()) as store:
             with pytest.raises(InvalidParameterError):
-                store.search(QUERIES[0], mode="hash")
+                search(store, QUERIES[0], mode="hash")
             with pytest.raises(InvalidParameterError):
-                store.search(QUERIES[0], cache="lukewarm")
+                search(store, QUERIES[0], cache="lukewarm")
 
     def test_sizes_measured(self):
         with load(SqliteFeatureStore()) as store:
@@ -179,7 +184,7 @@ class TestBackendEquivalence:
         sq = load(SqliteFeatureStore())
         try:
             for q in QUERIES:
-                assert mem.search(q) == sq.search(q), f"mismatch for {q}"
+                assert search(mem, q) == search(sq, q), f"mismatch for {q}"
         finally:
             sq.close()
 
